@@ -7,9 +7,10 @@
 //!   [`IncrementalSta`] engine, which recomputes only the dirty cone of
 //!   nets whose participation changed since the previous call (plus
 //!   memoizes repeated per-gate states across backtracks).
-//! * [`Itr::refine_full`] — a straight-line full recompute with no state
-//!   reuse. This is the oracle the incremental path is tested against:
-//!   results must be **bit-identical**.
+//! * [`Itr::refine_full`] — a from-scratch full pass of the same gate
+//!   evaluator ([`Sta::run_under`]) with no state reuse. This is the
+//!   oracle the incremental path is tested against: results must be
+//!   **bit-identical**.
 //!
 //! Both paths run logic implication first, so a single call sees the full
 //! transitive consequences of the caller's assignments.
@@ -19,10 +20,10 @@ use std::cell::{Cell, RefCell};
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Edge, Time};
 use ssdm_logic::{imply, Assignments, TransState};
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_netlist::{Circuit, NetId};
 use ssdm_sta::{
-    stage_plan, stage_windows, DelaysUsed, IncrementalSta, IncrementalStats, LineTiming,
-    Participation, ParticipationMap, PinWindow, Sta, StaConfig, TimingView,
+    DelaysUsed, IncrementalSta, IncrementalStats, LineTiming, Participation, ParticipationMap, Sta,
+    StaConfig, TimingView,
 };
 
 use crate::error::ItrError;
@@ -196,11 +197,14 @@ impl<'a> Itr<'a> {
     }
 
     /// Recomputes all timing windows from scratch, ignoring and not
-    /// touching any engine state.
+    /// touching any engine state: implication, then one
+    /// [`Sta::run_under`] pass on a freshly resolved arena.
     ///
     /// This is the reference implementation [`Itr::refine`] is verified
     /// against (see `tests/properties.rs`), and the baseline the
-    /// `itr_incremental` benchmark compares to.
+    /// `itr_incremental` benchmark compares to. It shares the gate
+    /// evaluator with [`Itr::refine`] but none of its dirty-cone seeding,
+    /// early cutoff or memo cache — the logic it exists to check.
     ///
     /// # Errors
     ///
@@ -208,88 +212,14 @@ impl<'a> Itr<'a> {
     pub fn refine_full(&self, assignments: &mut Assignments) -> Result<ItrResult, ItrError> {
         let _span = ssdm_obs::span("itr.refine_full");
         imply(self.circuit, assignments)?;
+        let part = self.participation_map(assignments);
         let sta = Sta::new(self.circuit, self.library, self.config.clone());
-        let loads = sta.net_loads()?;
-        let n = self.circuit.n_nets();
-        let mut lines = vec![LineTiming::default(); n];
-        let mut used: Vec<DelaysUsed> = vec![Vec::new(); n];
-        let mut inverting = vec![true; n];
-        for id in self.circuit.topo() {
-            let gate = self.circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                let mut lt = LineTiming::symmetric(self.config.pi_arrival, self.config.pi_ttime);
-                self.apply_state_veto(assignments, id, &mut lt);
-                lines[id.index()] = lt;
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let pins: Vec<PinWindow> = gate
-                .fanin
-                .iter()
-                .map(|&f| PinWindow {
-                    timing: lines[f.index()],
-                    participation: [
-                        participation(assignments.state(f, Edge::Rise)),
-                        participation(assignments.state(f, Edge::Fall)),
-                    ],
-                })
-                .collect();
-            let cell1 = self.library.require(&plan.first)?;
-            let (mut lt, total_used) = match &plan.second {
-                None => stage_windows(cell1, self.config.model, &pins, loads[id.index()])?,
-                Some(second) => {
-                    let cell2 = self.library.require(second)?;
-                    let (mut mid, used1) =
-                        stage_windows(cell1, self.config.model, &pins, cell2.input_cap())?;
-                    // The internal net is the complement of the gate output,
-                    // so its states are the output's with edges swapped.
-                    let mid_part = [
-                        participation(assignments.state(id, Edge::Fall)),
-                        participation(assignments.state(id, Edge::Rise)),
-                    ];
-                    for e in Edge::BOTH {
-                        if !mid_part[e.index()].possible() {
-                            mid.set_edge(e, None);
-                        }
-                    }
-                    let pin_mid = PinWindow {
-                        timing: mid,
-                        participation: mid_part,
-                    };
-                    let (out, used2) =
-                        stage_windows(cell2, self.config.model, &[pin_mid], loads[id.index()])?;
-                    let mut total: DelaysUsed = vec![[None, None]; pins.len()];
-                    for (pin, stage1) in used1.iter().enumerate() {
-                        for e in Edge::BOTH {
-                            total[pin][e.index()] =
-                                match (stage1[e.index()], used2[0][e.inverted().index()]) {
-                                    (Some(a), Some(b)) => Some(a.add(b)),
-                                    _ => None,
-                                };
-                        }
-                    }
-                    (out, total)
-                }
-            };
-            self.apply_state_veto(assignments, id, &mut lt);
-            lines[id.index()] = lt;
-            used[id.index()] = total_used;
-            inverting[id.index()] = plan.inverting();
-        }
+        let (lines, used, inverting) = sta.run_under(&part)?.into_parts();
         Ok(ItrResult {
             lines,
             used,
             inverting,
         })
-    }
-
-    /// Drops window edges the logic state rules out (`S = −1`).
-    fn apply_state_veto(&self, assignments: &Assignments, id: NetId, lt: &mut LineTiming) {
-        for e in Edge::BOTH {
-            if assignments.state(id, e) == TransState::No {
-                lt.set_edge(e, None);
-            }
-        }
     }
 }
 

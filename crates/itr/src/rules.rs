@@ -6,7 +6,7 @@
 //! *reconstructs* it from those rules, which are quoted verbatim in the
 //! source text. The reconstruction is validated against the window
 //! propagation: the settings produced here are exactly the participation
-//! corners [`ssdm_sta::stage_windows`] explores.
+//! corners [`ssdm_sta::stage_windows_traced`] explores.
 
 use ssdm_core::Edge;
 

@@ -1,10 +1,13 @@
 //! The incremental dirty-cone timing engine.
 //!
-//! [`Sta::run`](crate::Sta::run) recomputes every window of every gate
-//! from scratch; ITR (Section 5 of the paper) calls that recomputation
-//! once per ATPG decision *and* per backtrack, making it the dominant
-//! cost of timing-driven test generation. This module provides the
-//! engine both now share, built around three ideas:
+//! Every forward analysis in this crate evaluates gates through one
+//! evaluator over one resolved-gate arena (cells, loads and levels
+//! resolved once per circuit), and recomputes whole circuits through one
+//! full pass. [`Sta::run`](crate::Sta::run) and
+//! [`Sta::run_under`](crate::Sta::run_under) are a single such pass.
+//! ITR (Section 5 of the paper) needs a refinement once per ATPG
+//! decision *and* per backtrack, so this engine keeps the previous
+//! state and adds two ideas on top of the shared evaluator:
 //!
 //! 1. **Dirty-cone propagation.** The engine keeps the previous
 //!    participation state of every net. A refinement call diffs the new
@@ -17,13 +20,16 @@
 //! 2. **Gate-evaluation memoization.** Every gate evaluation is a pure
 //!    function of (gate, input windows, input participations, own
 //!    participation) — the load, stage plan and cells are fixed per
-//!    gate. Evaluations are cached under a bit-exact key, so PODEM
-//!    backtracks that revisit an earlier assignment are served from
+//!    gate. Dirty-cone evaluations are cached under a bit-exact key, so
+//!    PODEM backtracks that revisit an earlier assignment are served from
 //!    cache without touching the characterized-cell fits.
-//! 3. **Parallel full passes.** The first analysis of a large circuit
-//!    (and any explicit [`Sta::run_parallel`](crate::Sta::run_parallel))
-//!    evaluates each topological level's gates across threads; gates on
-//!    one level never depend on each other.
+//!
+//! Full passes (the first refinement, and explicit
+//! [`IncrementalSta::full_pass`] / [`IncrementalSta::full_pass_parallel`]
+//! calls) neither read nor fill the memo, and count the same work at any
+//! thread count. The first pass of a large circuit runs each topological
+//! level's gates across threads; gates on one level never depend on
+//! each other.
 //!
 //! # Equivalence invariants
 //!
@@ -42,15 +48,15 @@
 
 use std::collections::HashMap;
 
-use ssdm_cells::{CellLibrary, CharacterizedGate};
-use ssdm_core::{Capacitance, Edge};
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_cells::CellLibrary;
+use ssdm_core::Edge;
+use ssdm_netlist::{Circuit, NetId};
 
-use crate::engine::{StaConfig, StaResult};
+use crate::arena::Arena;
+use crate::engine::StaConfig;
 use crate::error::StaError;
-use crate::propagate::{emit_corner_events, stage_windows_traced, DelaysUsed, StageProvenance};
-use crate::stage::stage_plan;
-use crate::window::{LineTiming, Participation, PinWindow};
+use crate::propagate::DelaysUsed;
+use crate::window::{LineTiming, Participation};
 
 /// Per-net, per-edge participation for a whole circuit, indexed
 /// `map[net.index()][edge.index()]`. The all-[`Participation::May`] map
@@ -90,7 +96,8 @@ pub struct IncrementalStats {
     pub gates_evaluated: u64,
     /// Gate evaluations answered from the memo cache.
     pub memo_hits: u64,
-    /// Gate evaluations that had to run the window propagation.
+    /// Dirty-cone gate evaluations that missed the memo and ran the
+    /// window propagation (full passes bypass the memo).
     pub memo_misses: u64,
     /// Times the memo cache hit its size cap and was cleared.
     pub memo_evictions: u64,
@@ -169,18 +176,6 @@ const MEMO_CAP: usize = 1 << 18;
 /// default (below it, thread spawn overhead wins).
 pub const PARALLEL_THRESHOLD: usize = 512;
 
-/// One gate's recomputed state: `(net index, windows, used delays)`.
-type EvalOutput = (usize, LineTiming, DelaysUsed);
-
-/// A netlist gate resolved onto its characterized cells once, ahead of
-/// time (`stage_plan` + library lookups are string-keyed and would
-/// otherwise run on every evaluation).
-struct ResolvedGate<'a> {
-    first: &'a CharacterizedGate,
-    second: Option<&'a CharacterizedGate>,
-    inverting: bool,
-}
-
 /// Bit-exact memoization key: the gate index plus the exact f64 bit
 /// patterns of every input the evaluation depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -216,17 +211,10 @@ fn part_code(p: [Participation; 2]) -> u64 {
 /// The incremental engine. Owns the previous analysis state; see the
 /// module docs for the algorithm and its invariants.
 pub struct IncrementalSta<'a> {
-    circuit: &'a Circuit,
-    config: StaConfig,
-    loads: Vec<Capacitance>,
-    /// `None` for primary inputs.
-    plans: Vec<Option<ResolvedGate<'a>>>,
-    /// Net indices grouped by topological level, for parallel passes.
-    levels: Vec<Vec<usize>>,
+    arena: Arena<'a>,
     part: ParticipationMap,
     lines: Vec<LineTiming>,
     used: Vec<DelaysUsed>,
-    inverting: Vec<bool>,
     memo: HashMap<MemoKey, (LineTiming, DelaysUsed)>,
     counters: EngineCounters,
     primed: bool,
@@ -235,7 +223,7 @@ pub struct IncrementalSta<'a> {
 impl std::fmt::Debug for IncrementalSta<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalSta")
-            .field("circuit", &self.circuit.name())
+            .field("circuit", &self.arena.circuit.name())
             .field("primed", &self.primed)
             .field("memo_entries", &self.memo.len())
             .field("stats", &self.counters.snapshot())
@@ -256,140 +244,24 @@ impl<'a> IncrementalSta<'a> {
         config: StaConfig,
     ) -> Result<IncrementalSta<'a>, StaError> {
         let n = circuit.n_nets();
-        let mut loads = vec![Capacitance::ZERO; n];
-        let mut plans: Vec<Option<ResolvedGate<'a>>> = Vec::with_capacity(n);
-        for id in circuit.topo() {
-            let gate = circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                plans.push(None);
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let first = library.require(&plan.first)?;
-            let second = match &plan.second {
-                Some(name) => Some(library.require(name)?),
-                None => None,
-            };
-            let cap = first.input_cap();
-            for &f in &gate.fanin {
-                loads[f.index()] = loads[f.index()] + cap;
-            }
-            plans.push(Some(ResolvedGate {
-                first,
-                second,
-                inverting: plan.inverting(),
-            }));
-        }
-        for &po in circuit.outputs() {
-            loads[po.index()] = loads[po.index()] + config.po_load;
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); circuit.depth() + 1];
-        for id in circuit.topo() {
-            levels[circuit.level(id)].push(id.index());
-        }
-        let inverting = plans
-            .iter()
-            .map(|p| p.as_ref().is_none_or(|r| r.inverting))
-            .collect();
         Ok(IncrementalSta {
-            circuit,
-            config,
-            loads,
-            plans,
-            levels,
+            arena: Arena::new(circuit, library, config)?,
             part: unconstrained_participation(n),
             lines: vec![LineTiming::default(); n],
             used: vec![Vec::new(); n],
-            inverting,
             memo: HashMap::new(),
             counters: EngineCounters::new(),
             primed: false,
         })
     }
 
-    /// Evaluates one net from the current `lines`/`part` state. Pure in
-    /// the memo-key inputs; shared by the sequential, memoized and
-    /// parallel paths.
-    ///
-    /// When provenance events are enabled, each evaluation emits one
-    /// `sta.corner` event per surviving output-edge bound. Memo hits do
-    /// **not** re-emit (the corner decision is identical to the cached
-    /// evaluation's, and re-emission would flood the rings on PODEM
-    /// revisits); traced runs that need every gate's corner should use a
-    /// fresh engine or [`crate::Sta::run`].
-    fn eval_gate_uncached(&self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
-        let id = NetId(idx);
-        let own = self.part[idx];
-        let veto = |lt: &mut LineTiming| {
-            for e in Edge::BOTH {
-                if !own[e.index()].possible() {
-                    lt.set_edge(e, None);
-                }
-            }
-        };
-        let Some(plan) = &self.plans[idx] else {
-            let mut lt = LineTiming::symmetric(self.config.pi_arrival, self.config.pi_ttime);
-            veto(&mut lt);
-            return Ok((lt, Vec::new()));
-        };
-        let gate = self.circuit.gate(id);
-        let pins: Vec<PinWindow> = gate
-            .fanin
-            .iter()
-            .map(|&f| PinWindow {
-                timing: self.lines[f.index()],
-                participation: self.part[f.index()],
-            })
-            .collect();
-        let (mut lt, total_used, prov) = match plan.second {
-            None => stage_windows_traced(plan.first, self.config.model, &pins, self.loads[idx])?,
-            Some(cell2) => {
-                let (mut mid, used1, prov1) =
-                    stage_windows_traced(plan.first, self.config.model, &pins, cell2.input_cap())?;
-                // The internal net is the complement of the gate output,
-                // so its participation is the output's with edges
-                // swapped.
-                let mut mid_part = [Participation::May; 2];
-                for e in Edge::BOTH {
-                    mid_part[e.index()] = own[e.inverted().index()];
-                    if !mid_part[e.index()].possible() {
-                        mid.set_edge(e, None);
-                    }
-                }
-                let pin_mid = PinWindow {
-                    timing: mid,
-                    participation: mid_part,
-                };
-                let (out, used2, prov2) =
-                    stage_windows_traced(cell2, self.config.model, &[pin_mid], self.loads[idx])?;
-                // Compose per-pin delay bounds across the two stages: the
-                // final edge `e` enters pin `i` as edge `e` (two
-                // inversions) and enters the inverter as `e.inverted()`.
-                let mut total: DelaysUsed = vec![[None, None]; pins.len()];
-                for (pin, stage1) in used1.iter().enumerate() {
-                    for e in Edge::BOTH {
-                        total[pin][e.index()] =
-                            match (stage1[e.index()], used2[0][e.inverted().index()]) {
-                                (Some(a), Some(b)) => Some(a.add(b)),
-                                _ => None,
-                            };
-                    }
-                }
-                (out, total, StageProvenance::compose(&prov1, &prov2))
-            }
-        };
-        veto(&mut lt);
-        if ssdm_obs::events_enabled() {
-            emit_corner_events(idx as u32, &lt, &prov);
-        }
-        Ok((lt, total_used))
-    }
-
     /// Builds the memo key of `idx` under the current state; `None` for
     /// primary inputs (their evaluation is cheaper than a map probe).
     fn memo_key(&self, idx: usize) -> Option<MemoKey> {
-        self.plans[idx].as_ref()?;
-        let gate = self.circuit.gate(NetId(idx));
+        if self.arena.is_input(idx) {
+            return None;
+        }
+        let gate = self.arena.circuit.gate(NetId(idx));
         let mut words = Vec::with_capacity(2 + gate.fanin.len() * 11);
         words.push(part_code(self.part[idx]));
         for &f in &gate.fanin {
@@ -402,18 +274,25 @@ impl<'a> IncrementalSta<'a> {
         })
     }
 
-    /// Evaluates one net through the memo cache.
-    fn eval_gate(&mut self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
+    /// Evaluates net `idx` under the current `lines`/`part` state,
+    /// through the memo cache.
+    ///
+    /// Memo hits do **not** re-emit `sta.corner` events (the corner
+    /// decision is identical to the cached evaluation's, and re-emission
+    /// would flood the rings on PODEM revisits); traced runs that need
+    /// every gate's corner should use a fresh engine or
+    /// [`crate::Sta::run`].
+    fn eval_memo(&mut self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
         self.counters.gates_evaluated.incr();
         let Some(key) = self.memo_key(idx) else {
-            return self.eval_gate_uncached(idx);
+            return self.arena.eval_gate(idx, &self.part, &self.lines);
         };
         if let Some(hit) = self.memo.get(&key) {
             self.counters.memo_hits.incr();
             return Ok(hit.clone());
         }
         self.counters.memo_misses.incr();
-        let value = self.eval_gate_uncached(idx)?;
+        let value = self.arena.eval_gate(idx, &self.part, &self.lines)?;
         if self.memo.len() >= MEMO_CAP {
             self.memo.clear();
             self.counters.memo_evictions.incr();
@@ -422,8 +301,7 @@ impl<'a> IncrementalSta<'a> {
         Ok(value)
     }
 
-    /// Recomputes every net sequentially under `part` (through the memo
-    /// cache).
+    /// Recomputes every net under `part`, inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -433,23 +311,13 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// Panics when `part.len()` differs from the circuit's net count.
     pub fn full_pass(&mut self, part: &[[Participation; 2]]) -> Result<(), StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
-        let _span = ssdm_obs::span("sta.full_pass");
-        self.part.copy_from_slice(part);
-        self.counters.full_passes.incr();
-        for id in self.circuit.topo() {
-            let (lt, du) = self.eval_gate(id.index())?;
-            self.lines[id.index()] = lt;
-            self.used[id.index()] = du;
-        }
-        self.primed = true;
-        Ok(())
+        self.full_pass_parallel(part, 1)
     }
 
     /// Recomputes every net under `part`, evaluating each topological
-    /// level's gates across `threads` worker threads. Results are
-    /// bit-identical to [`IncrementalSta::full_pass`]; the memo cache is
-    /// neither consulted nor populated.
+    /// level's gates across `threads` worker threads (inline at one).
+    /// Results and work counters are the same at every thread count; the
+    /// memo cache is neither consulted nor populated.
     ///
     /// # Errors
     ///
@@ -464,57 +332,15 @@ impl<'a> IncrementalSta<'a> {
         part: &[[Participation; 2]],
         threads: usize,
     ) -> Result<(), StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
+        let n = self.arena.circuit.n_nets();
+        assert_eq!(part.len(), n, "participation size");
         assert!(threads > 0, "at least one thread");
-        let _span = ssdm_obs::span("sta.full_pass.parallel");
+        let _span = ssdm_obs::span("sta.full_pass");
         self.part.copy_from_slice(part);
         self.counters.full_passes.incr();
-        let n_levels = self.levels.len();
-        for level in 0..n_levels {
-            let ids = std::mem::take(&mut self.levels[level]);
-            let chunk = ids.len().div_ceil(threads).max(1);
-            let results: Vec<Result<Vec<EvalOutput>, StaError>> = std::thread::scope(|scope| {
-                let engine: &IncrementalSta<'a> = &*self;
-                let handles: Vec<_> = ids
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, ids)| {
-                        scope.spawn(move || {
-                            if ssdm_obs::enabled() {
-                                ssdm_obs::set_thread_label(format!("sta.worker.{w}"));
-                            }
-                            // Heartbeat cells are keyed by name, so the
-                            // per-level thread pools of one pass all
-                            // accumulate into stable `sta.worker.{w}`
-                            // lanes (one relaxed load when the progress
-                            // layer is off).
-                            let heartbeat =
-                                ssdm_obs::progress::heartbeat(|| format!("sta.worker.{w}"));
-                            heartbeat.beat(level as u64);
-                            let _span = ssdm_obs::span("sta.level");
-                            let out: Result<Vec<EvalOutput>, StaError> = ids
-                                .iter()
-                                .map(|&i| engine.eval_gate_uncached(i).map(|(lt, du)| (i, lt, du)))
-                                .collect();
-                            heartbeat.done();
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-            self.levels[level] = ids;
-            for r in results {
-                for (i, lt, du) in r? {
-                    self.counters.gates_evaluated.incr();
-                    self.lines[i] = lt;
-                    self.used[i] = du;
-                }
-            }
-        }
+        self.arena
+            .full_pass(&self.part, &mut self.lines, &mut self.used, threads)?;
+        self.counters.gates_evaluated.add(n as u64);
         self.primed = true;
         Ok(())
     }
@@ -523,9 +349,9 @@ impl<'a> IncrementalSta<'a> {
     /// participation map, then recomputes only the dirty cone, stopping
     /// at gates whose windows and used-delays come out unchanged.
     ///
-    /// The first call (or any call before a full pass) falls back to
-    /// [`IncrementalSta::full_pass`] — parallel when the circuit is at
-    /// least [`PARALLEL_THRESHOLD`] nets and the host has the cores.
+    /// The first call (or any call before a full pass) runs a full pass
+    /// instead — parallel when the circuit is at least
+    /// [`PARALLEL_THRESHOLD`] nets and the host has the cores.
     ///
     /// Returns the number of gate evaluations performed.
     ///
@@ -537,15 +363,11 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// Panics when `part.len()` differs from the circuit's net count.
     pub fn refine(&mut self, part: &[[Participation; 2]]) -> Result<usize, StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
+        let circuit = self.arena.circuit;
+        assert_eq!(part.len(), circuit.n_nets(), "participation size");
         if !self.primed {
-            let threads = default_threads(self.circuit.n_nets());
-            if threads > 1 {
-                self.full_pass_parallel(part, threads)?;
-            } else {
-                self.full_pass(part)?;
-            }
-            return Ok(self.circuit.n_nets());
+            self.full_pass_parallel(part, default_threads(circuit.n_nets()))?;
+            return Ok(circuit.n_nets());
         }
         let _span = ssdm_obs::span("sta.refine");
         self.counters.incremental_passes.incr();
@@ -578,7 +400,7 @@ impl<'a> IncrementalSta<'a> {
                     seeded[i] = true;
                 }
                 push(&mut heap, &mut queued, i);
-                for &c in self.circuit.fanouts(NetId(i)) {
+                for &c in circuit.fanouts(NetId(i)) {
                     push(&mut heap, &mut queued, c.index());
                 }
             }
@@ -586,7 +408,7 @@ impl<'a> IncrementalSta<'a> {
         self.counters.dirty_seeds.add(seeds);
         let mut evaluated = 0usize;
         while let Some(std::cmp::Reverse(i)) = heap.pop() {
-            let (lt, du) = self.eval_gate(i)?;
+            let (lt, du) = self.eval_memo(i)?;
             evaluated += 1;
             if lt != self.lines[i] || du != self.used[i] {
                 if events {
@@ -594,7 +416,7 @@ impl<'a> IncrementalSta<'a> {
                 }
                 self.lines[i] = lt;
                 self.used[i] = du;
-                for &c in self.circuit.fanouts(NetId(i)) {
+                for &c in circuit.fanouts(NetId(i)) {
                     push(&mut heap, &mut queued, c.index());
                 }
             }
@@ -618,28 +440,13 @@ impl<'a> IncrementalSta<'a> {
 
     /// Whether each composite gate is logically inverting.
     pub fn inverting(&self) -> &[bool] {
-        &self.inverting
+        &self.arena.inverting
     }
 
     /// Work counters accumulated since construction (a point-in-time
     /// snapshot of this engine's `sta.incremental.*` counters).
     pub fn stats(&self) -> IncrementalStats {
         self.counters.snapshot()
-    }
-
-    /// Clones the current state into a [`StaResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no pass has run yet.
-    pub fn snapshot(&self) -> StaResult {
-        assert!(self.primed, "snapshot before any pass");
-        StaResult::from_parts(
-            self.lines.clone(),
-            self.used.clone(),
-            self.inverting.clone(),
-            self.config.model,
-        )
     }
 }
 
@@ -724,6 +531,22 @@ mod tests {
         par.full_pass_parallel(&part, 4).unwrap();
         assert_eq!(seq.lines(), par.lines());
         assert_eq!(seq.used(), par.used());
+    }
+
+    #[test]
+    fn full_pass_work_is_thread_count_invariant() {
+        let c = suite::synthetic("c880s").unwrap();
+        let lib = library();
+        let part = unconstrained_participation(c.n_nets());
+        let mut one = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
+        one.full_pass(&part).unwrap();
+        let mut four = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
+        four.full_pass_parallel(&part, 4).unwrap();
+        assert_eq!(one.lines(), four.lines());
+        assert_eq!(one.used(), four.used());
+        assert_eq!(one.stats(), four.stats());
+        assert_eq!(one.stats().gates_evaluated, c.n_nets() as u64);
+        assert_eq!(one.stats().memo_misses, 0, "full passes bypass the memo");
     }
 
     #[test]
@@ -835,18 +658,5 @@ mod tests {
         assert!(events
             .iter()
             .any(|r| matches!(r.event, ssdm_obs::Event::StaCorner { .. })));
-    }
-
-    #[test]
-    fn snapshot_round_trips_model() {
-        let c = suite::c17();
-        let lib = library();
-        let cfg = StaConfig::default();
-        let mut eng = IncrementalSta::new(&c, lib, cfg.clone()).unwrap();
-        eng.full_pass(&unconstrained_participation(c.n_nets()))
-            .unwrap();
-        let snap = eng.snapshot();
-        assert_eq!(snap.model(), cfg.model);
-        assert_eq!(snap.lines().len(), c.n_nets());
     }
 }

@@ -14,12 +14,20 @@
 //!   minima,
 //! * [`stage`] — mapping netlist gates onto characterized cells (AND/OR
 //!   decompose into NAND/NOR + INV),
-//! * [`engine`] — the full-circuit forward pass,
-//! * [`incremental`] — the dirty-cone engine shared by STA and ITR:
-//!   participation-diff worklists, bit-exact gate-evaluation memoization
-//!   and parallel full passes,
+//! * [`engine`] — the analyzer: [`Sta::run`] is one full forward pass
+//!   under all-`May` participation, [`Sta::run_under`] the same pass
+//!   under a refined participation map,
+//! * [`incremental`] — the dirty-cone engine behind ITR:
+//!   participation-diff worklists and bit-exact gate-evaluation
+//!   memoization on top of the same evaluator and pass,
 //! * [`backward`] — required times and the delay-error check,
 //! * [`report`] — endpoint summaries and critical-path extraction.
+//!
+//! Every forward analysis runs on one crate-internal resolved-gate arena
+//! (cells, per-net loads and topological levels resolved once per
+//! circuit) with one gate evaluator — the two-stage composition through
+//! a composite gate's internal inverter — and one full pass, inline at
+//! one thread and level-parallel above one.
 //!
 //! # Example
 //!
@@ -45,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod arena;
 pub mod backward;
 pub mod engine;
 pub mod error;
@@ -61,9 +70,7 @@ pub use incremental::{
 
 pub use engine::{Sta, StaConfig, StaResult, TimingView};
 pub use error::StaError;
-pub use propagate::{
-    stage_windows, stage_windows_traced, CornerChoice, DelaysUsed, ModelKind, StageProvenance,
-};
+pub use propagate::{stage_windows_traced, CornerChoice, DelaysUsed, ModelKind, StageProvenance};
 pub use report::{critical_path, slowest_endpoint, timing_report, PathStep};
 pub use stage::{stage_plan, StagePlan};
 pub use window::{EdgeTiming, LineTiming, Participation, PinWindow};

@@ -154,30 +154,11 @@ pub fn event_edge(e: Edge) -> EventEdge {
 
 /// Propagates input windows through one cell stage.
 ///
-/// Returns the output [`LineTiming`] and the per-pin delay windows used.
-/// An output edge is `None` when no participating input can trigger it.
-///
-/// # Errors
-///
-/// Propagates characterized-cell query failures.
-///
-/// # Panics
-///
-/// Panics if `pins.len()` differs from the cell's input count.
-pub fn stage_windows(
-    cell: &CharacterizedGate,
-    model: ModelKind,
-    pins: &[PinWindow],
-    load: Capacitance,
-) -> Result<(LineTiming, DelaysUsed), StaError> {
-    let (out, used, _) = stage_windows_traced(cell, model, pins, load)?;
-    Ok((out, used))
-}
-
-/// [`stage_windows`] plus per-bound corner provenance: which input pin
-/// won each output-edge arrival bound, through which model term, and the
-/// delay it contributed. The timing results are bit-identical to the
-/// untraced call (which delegates here).
+/// Returns the output [`LineTiming`], the per-pin delay windows used and
+/// per-bound corner provenance: which input pin won each output-edge
+/// arrival bound, through which model term, and the delay it
+/// contributed. An output edge is `None` when no participating input can
+/// trigger it.
 ///
 /// # Errors
 ///
@@ -659,7 +640,8 @@ mod tests {
             sta_pin(b(0.0, 1.0), b(0.2, 0.6)),
             sta_pin(b(0.0, 1.0), b(0.2, 0.6)),
         ];
-        let (lt, used) = stage_windows(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
+        let (lt, used, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
         let rise = lt.rise.unwrap();
         let fall = lt.fall.unwrap();
         assert!(rise.arrival.s() < rise.arrival.l());
@@ -679,8 +661,10 @@ mod tests {
             sta_pin(b(0.0, 0.5), b(0.2, 0.6)),
             sta_pin(b(0.0, 0.5), b(0.2, 0.6)),
         ];
-        let (prop, _) = stage_windows(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
-        let (p2p, _) = stage_windows(cell, ModelKind::PinToPin, &pins, cell.ref_load()).unwrap();
+        let (prop, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
+        let (p2p, _, _) =
+            stage_windows_traced(cell, ModelKind::PinToPin, &pins, cell.ref_load()).unwrap();
         let pr = prop.rise.unwrap();
         let br = p2p.rise.unwrap();
         assert!(
@@ -703,8 +687,10 @@ mod tests {
             sta_pin(b(0.0, 0.1), b(0.3, 0.3)),
             sta_pin(b(8.0, 9.0), b(0.3, 0.3)),
         ];
-        let (prop, _) = stage_windows(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
-        let (p2p, _) = stage_windows(cell, ModelKind::PinToPin, &pins, cell.ref_load()).unwrap();
+        let (prop, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
+        let (p2p, _, _) =
+            stage_windows_traced(cell, ModelKind::PinToPin, &pins, cell.ref_load()).unwrap();
         let d = (prop.rise.unwrap().arrival.s() - p2p.rise.unwrap().arrival.s()).abs();
         assert!(d < ns(1e-9), "no overlap → no speed-up, diff {d}");
     }
@@ -717,8 +703,8 @@ mod tests {
         // Neither input can fall → the output can never rise.
         p0.participation[Edge::Fall.index()] = Participation::Cannot;
         p1.participation[Edge::Fall.index()] = Participation::Cannot;
-        let (lt, used) =
-            stage_windows(cell, ModelKind::Proposed, &[p0, p1], cell.ref_load()).unwrap();
+        let (lt, used, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &[p0, p1], cell.ref_load()).unwrap();
         assert!(lt.rise.is_none());
         assert!(lt.fall.is_some());
         assert!(used[0][Edge::Fall.index()].is_none());
@@ -731,13 +717,13 @@ mod tests {
             sta_pin(b(0.0, 0.2), b(0.3, 0.3)),
             sta_pin(b(0.0, 3.0), b(0.3, 0.3)),
         ];
-        let (all_may, _) =
-            stage_windows(cell, ModelKind::Proposed, &base, cell.ref_load()).unwrap();
+        let (all_may, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &base, cell.ref_load()).unwrap();
         // Pin 0 definitely falls: the rise can no longer wait for pin 1.
         let mut refined = base;
         refined[0].participation[Edge::Fall.index()] = Participation::Must;
-        let (tight, _) =
-            stage_windows(cell, ModelKind::Proposed, &refined, cell.ref_load()).unwrap();
+        let (tight, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &refined, cell.ref_load()).unwrap();
         assert!(
             tight.rise.unwrap().arrival.l() < all_may.rise.unwrap().arrival.l(),
             "must-fall on the early pin caps the latest rise"
@@ -753,13 +739,13 @@ mod tests {
             sta_pin(b(0.0, 0.2), b(0.3, 0.3)),
             sta_pin(b(2.0, 3.0), b(0.3, 0.3)),
         ];
-        let (all_may, _) =
-            stage_windows(cell, ModelKind::Proposed, &base, cell.ref_load()).unwrap();
+        let (all_may, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &base, cell.ref_load()).unwrap();
         // Pin 1 definitely rises: the output fall must wait for it.
         let mut refined = base;
         refined[1].participation[Edge::Rise.index()] = Participation::Must;
-        let (tight, _) =
-            stage_windows(cell, ModelKind::Proposed, &refined, cell.ref_load()).unwrap();
+        let (tight, _, _) =
+            stage_windows_traced(cell, ModelKind::Proposed, &refined, cell.ref_load()).unwrap();
         assert!(
             tight.fall.unwrap().arrival.s() > all_may.fall.unwrap().arrival.s(),
             "must-rise on the late pin raises the earliest fall"
@@ -771,7 +757,7 @@ mod tests {
     #[should_panic(expected = "pin count mismatch")]
     fn pin_count_is_validated() {
         let cell = nand2();
-        let _ = stage_windows(cell, ModelKind::Proposed, &[], cell.ref_load());
+        let _ = stage_windows_traced(cell, ModelKind::Proposed, &[], cell.ref_load());
     }
 
     #[test]
@@ -781,12 +767,8 @@ mod tests {
             sta_pin(b(0.0, 1.0), b(0.2, 0.6)),
             sta_pin(b(0.3, 0.8), b(0.2, 0.6)),
         ];
-        let (lt, used, prov) =
+        let (lt, _, prov) =
             stage_windows_traced(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
-        let (lt2, used2) =
-            stage_windows(cell, ModelKind::Proposed, &pins, cell.ref_load()).unwrap();
-        assert_eq!(lt, lt2, "traced and untraced timing must be identical");
-        assert_eq!(used, used2);
         for e in Edge::BOTH {
             let et = lt.edge(e).expect("both edges live");
             let in_edge = e.inverted();

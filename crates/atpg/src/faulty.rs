@@ -6,7 +6,7 @@
 //! reduction: propagate the complement of the victim's final value through
 //! the second frame and look for a primary output that differs.
 
-use ssdm_logic::{Assignments, Tri};
+use ssdm_logic::{eval3, Assignments, Tri};
 use ssdm_netlist::{Circuit, GateType, NetId};
 
 /// Frame-2 values of the faulty machine: the victim's value complemented,
@@ -23,29 +23,12 @@ pub fn faulty_frame2(circuit: &Circuit, good: &Assignments, victim: NetId) -> Ve
         } else {
             match gate.gtype {
                 GateType::Input => good.get(id).second,
-                _ => {
-                    let fanin: Vec<Tri> = gate.fanin.iter().map(|f| vals[f.index()]).collect();
-                    eval3(gate.gtype, &fanin)
-                }
+                _ => eval3(gate.gtype, gate.fanin.iter().map(|f| vals[f.index()])),
             }
         };
         vals[id.index()] = v;
     }
     vals
-}
-
-/// Three-valued gate evaluation.
-fn eval3(gtype: GateType, inputs: &[Tri]) -> Tri {
-    let mut it = inputs.iter().copied();
-    match gtype {
-        GateType::Input => Tri::X,
-        GateType::Buf => it.next().expect("one input"),
-        GateType::Not => it.next().expect("one input").not(),
-        GateType::And => it.fold(Tri::One, Tri::and),
-        GateType::Nand => it.fold(Tri::One, Tri::and).not(),
-        GateType::Or => it.fold(Tri::Zero, Tri::or),
-        GateType::Nor => it.fold(Tri::Zero, Tri::or).not(),
-    }
 }
 
 /// True when the fault effect is observed: some primary output has known,
@@ -145,16 +128,5 @@ mod tests {
         // Gate 22 = NAND(10, 16) has the D on input 10 and an open output.
         let o22 = c.find("22").unwrap();
         assert!(frontier.contains(&o22), "frontier = {frontier:?}");
-    }
-
-    #[test]
-    fn eval3_matrix() {
-        assert_eq!(eval3(GateType::Nand, &[Tri::One, Tri::X]), Tri::X);
-        assert_eq!(eval3(GateType::Nand, &[Tri::Zero, Tri::X]), Tri::One);
-        assert_eq!(eval3(GateType::Or, &[Tri::X, Tri::One]), Tri::One);
-        assert_eq!(eval3(GateType::Not, &[Tri::Zero]), Tri::One);
-        assert_eq!(eval3(GateType::Buf, &[Tri::X]), Tri::X);
-        assert_eq!(eval3(GateType::And, &[Tri::One, Tri::One]), Tri::One);
-        assert_eq!(eval3(GateType::Nor, &[Tri::Zero, Tri::Zero]), Tri::One);
     }
 }

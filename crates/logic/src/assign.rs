@@ -11,16 +11,52 @@ use crate::value::{TransState, V2};
 /// Values only ever *refine* (x → 0/1); [`Assignments::set`] intersects
 /// with the existing value and reports conflicts. Snapshots (plain clones)
 /// give ATPG cheap backtracking.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Changed-net record
+///
+/// Besides the values, the store records every net whose value
+/// [`Assignments::set`] actually changed since the last
+/// [`imply`](crate::imply) — the events implication is seeded from.
+/// That seeding is exact under one invariant: *the values were an
+/// implication fixpoint before the recorded changes*. The all-`xx` store
+/// of [`Assignments::new`] is a fixpoint, and every successful `imply`
+/// leaves one (with an empty record), so a store only ever modified
+/// through `set` and `imply` always satisfies it.
+///
+/// An `imply` that fails with a conflict stops mid-propagation and leaves
+/// values that are *not* a fixpoint; it marks the store for a full
+/// reseed, so a later `imply` on it starts from every net, exactly as if
+/// no record existed.
+///
+/// Equality compares values only: two stores holding the same values are
+/// equal whatever their pending record.
+#[derive(Debug, Clone)]
 pub struct Assignments {
     values: Vec<V2>,
+    /// Nets whose value changed since the last implication, in order.
+    /// Each net changes at most once per frame, so this never exceeds
+    /// `2 × len()` entries.
+    pub(crate) changed: Vec<NetId>,
+    /// Set by a failed implication: the values are not a fixpoint, so the
+    /// next implication must seed every net.
+    pub(crate) reseed: bool,
 }
+
+impl PartialEq for Assignments {
+    fn eq(&self, other: &Assignments) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for Assignments {}
 
 impl Assignments {
     /// All-`xx` store for `n` nets.
     pub fn new(n: usize) -> Assignments {
         Assignments {
             values: vec![V2::XX; n],
+            changed: Vec::new(),
+            reseed: false,
         }
     }
 
@@ -45,7 +81,9 @@ impl Assignments {
 
     /// Refines `net` with `value` (frame-wise intersection).
     ///
-    /// Returns `true` when the stored value actually changed.
+    /// Returns `true` when the stored value actually changed; such a net
+    /// is recorded for the next [`imply`](crate::imply). A conflict leaves
+    /// the value (and the record) untouched.
     ///
     /// # Errors
     ///
@@ -60,7 +98,10 @@ impl Assignments {
         match slot.meet(value) {
             Some(merged) => {
                 let changed = merged != *slot;
-                *slot = merged;
+                if changed {
+                    *slot = merged;
+                    self.changed.push(net);
+                }
                 Ok(changed)
             }
             None => Err(LogicError::Conflict { net }),
@@ -148,5 +189,25 @@ mod tests {
         assert_ne!(a, snap);
         let a = snap;
         assert_eq!(a.get(NetId(1)), V2::XX);
+    }
+
+    #[test]
+    fn set_records_only_real_changes() {
+        let mut a = Assignments::new(3);
+        a.set(NetId(2), V2::parse("1x").unwrap()).unwrap();
+        a.set(NetId(2), V2::parse("1x").unwrap()).unwrap();
+        a.set(NetId(0), V2::parse("x0").unwrap()).unwrap();
+        assert!(a.set(NetId(0), V2::parse("x1").unwrap()).is_err());
+        assert_eq!(a.changed, vec![NetId(2), NetId(0)]);
+    }
+
+    #[test]
+    fn equality_ignores_the_changed_record() {
+        let mut a = Assignments::new(2);
+        a.set(NetId(0), V2::steady(true)).unwrap();
+        let mut b = a.clone();
+        b.changed.clear();
+        b.reseed = true;
+        assert_eq!(a, b);
     }
 }

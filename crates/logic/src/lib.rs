@@ -10,7 +10,15 @@
 //! [`imply`] runs forward and backward three-valued implication to a
 //! fixpoint over a [`ssdm_netlist::Circuit`], the basic engine (extended to
 //! two time frames, per reference [20] of the paper) that ITR and the ATPG
-//! are built on.
+//! are built on. [`eval3`] is the one three-valued gate evaluator, shared
+//! with the ATPG's faulty-machine simulation.
+//!
+//! Implication is event-driven: [`Assignments::set`] records the nets it
+//! changes, and [`imply`] starts from those nets alone. That is exact
+//! because every store built by `set` and `imply` was a fixpoint before
+//! its recorded changes; an `imply` on a store with nothing recorded
+//! returns at once. After a conflict the store is marked so the next
+//! `imply` seeds every net. See [`Assignments`] for the invariant.
 //!
 //! # Example
 //!
@@ -40,5 +48,5 @@ pub mod value;
 
 pub use assign::Assignments;
 pub use error::LogicError;
-pub use imply::{assign_and_imply, edges_of, imply, simulate_two_frames};
+pub use imply::{assign_and_imply, edges_of, eval3, imply, simulate_two_frames};
 pub use value::{TransState, Tri, V2};

@@ -67,6 +67,9 @@ struct ProgressState {
     campaign_total: AtomicU64,
     /// Registry-epoch nanoseconds of the campaign start.
     campaign_start_ns: AtomicU64,
+    /// Items every cell had completed when the campaign was announced;
+    /// the campaign's own progress is the sum above this base.
+    campaign_base: AtomicU64,
 }
 
 fn state() -> &'static ProgressState {
@@ -76,6 +79,7 @@ fn state() -> &'static ProgressState {
         workers: Mutex::new(Vec::new()),
         campaign_total: AtomicU64::new(0),
         campaign_start_ns: AtomicU64::new(0),
+        campaign_base: AtomicU64::new(0),
     })
 }
 
@@ -99,6 +103,7 @@ pub fn clear() {
     lock(&s.workers).clear();
     s.campaign_total.store(0, Ordering::Relaxed);
     s.campaign_start_ns.store(0, Ordering::Relaxed);
+    s.campaign_base.store(0, Ordering::Relaxed);
 }
 
 /// Handle a worker beats on. Inert (and free) while the progress layer
@@ -187,15 +192,24 @@ pub fn heartbeat(name: impl FnOnce() -> String) -> Heartbeat {
     Heartbeat { cell: Some(cell) }
 }
 
-/// Announces a campaign of `total` work items: clears previous heartbeat
-/// cells and stamps the start time, so [`campaign_progress`] can derive
-/// an ETA. A no-op (one relaxed load) while the layer is disabled.
+/// Announces a campaign of `total` work items: stamps the start time and
+/// the items completed so far, so [`campaign_progress`] can count this
+/// campaign's items and derive an ETA. A no-op (one relaxed load) while
+/// the layer is disabled.
+///
+/// Heartbeat cells are kept: another campaign running in the same
+/// process (or one that just finished and is being scraped) must not
+/// lose its workers. Only [`clear`] removes cells.
 pub fn set_campaign(total: u64) {
     let s = state();
     if !s.enabled.load(Ordering::Relaxed) {
         return;
     }
-    lock(&s.workers).clear();
+    let base = lock(&s.workers)
+        .iter()
+        .map(|c| c.done.load(Ordering::Relaxed))
+        .sum();
+    s.campaign_base.store(base, Ordering::Relaxed);
     s.campaign_total.store(total, Ordering::Relaxed);
     s.campaign_start_ns
         .store(Registry::global().now_ns().max(1), Ordering::Relaxed);
@@ -247,9 +261,10 @@ pub fn worker_health() -> Vec<WorkerHealth> {
 pub struct CampaignProgress {
     /// Work items announced by [`set_campaign`].
     pub total: u64,
-    /// Items completed so far, summed over every worker — a site retired
-    /// by fault dropping counts the moment the claiming worker skips it,
-    /// which is what makes the ETA track the drop rate.
+    /// Items completed since the campaign was announced, summed over
+    /// every worker — a site retired by fault dropping counts the moment
+    /// the claiming worker skips it, which is what makes the ETA track
+    /// the drop rate.
     pub done: u64,
     /// Nanoseconds since the campaign was announced.
     pub elapsed_ns: u64,
@@ -278,10 +293,11 @@ pub fn campaign_progress() -> Option<CampaignProgress> {
     if total == 0 || start == 0 {
         return None;
     }
-    let done: u64 = lock(&s.workers)
+    let done = lock(&s.workers)
         .iter()
         .map(|c| c.done.load(Ordering::Relaxed))
-        .sum();
+        .sum::<u64>()
+        .saturating_sub(s.campaign_base.load(Ordering::Relaxed));
     let elapsed_ns = Registry::global().now_ns().saturating_sub(start);
     let eta_ns = (done > 0).then(|| {
         let remaining = total.saturating_sub(done);
@@ -451,6 +467,32 @@ mod tests {
         set_enabled(false);
         crate::reset();
         assert!(worker_health().is_empty(), "reset clears heartbeat cells");
+    }
+
+    #[test]
+    fn a_new_campaign_keeps_earlier_workers_and_counts_only_its_own_items() {
+        let _guard = crate::tests::serial();
+        crate::reset();
+        set_enabled(true);
+        set_campaign(4);
+        let first = heartbeat(|| "test.campaign.first".to_string());
+        first.done();
+        first.done();
+        first.finish();
+        // A second campaign must not blank the first one's lane: a scrape
+        // of the finished campaign still sees its worker.
+        set_campaign(3);
+        let health = worker_health();
+        assert_eq!(health.len(), 1);
+        assert_eq!(health[0].done, 2);
+        assert_eq!(campaign_progress().expect("announced").done, 0);
+        let second = heartbeat(|| "test.campaign.second".to_string());
+        second.done();
+        let progress = campaign_progress().expect("announced");
+        assert_eq!((progress.total, progress.done), (3, 1));
+        assert_eq!(worker_health().len(), 2);
+        set_enabled(false);
+        crate::reset();
     }
 
     #[test]
